@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race bench bench-json bench-compare delta-soak experiments experiments-md fuzz testkit soak serve-smoke shard-smoke bench-shard loc clean
+.PHONY: all build vet lint test test-short perfbench-test race bench bench-json bench-compare delta-soak experiments experiments-md fuzz testkit soak serve-smoke shard-smoke bench-shard loc clean
 
 all: build vet lint test
 
@@ -24,6 +24,11 @@ test:
 # Skips the sampling-heavy property tests.
 test-short:
 	$(GO) test -short ./...
+
+# The benchmark's own unit tests. perfbench/ is a separate Go module,
+# so the root `go test ./...` does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -1,9 +1,7 @@
-// Package bitset provides fixed-capacity bit sets over []uint64 words,
-// plus a free-list pool of equally-sized sets. The counting hot path
-// (acceptance checks over sampled forests) tests tuple membership
-// millions of times per run; a bit set turns each test into a shift,
-// a mask and a word load, and the pool removes the per-tree-node
-// allocation that map[int]bool sets would cost.
+// Package bitset provides fixed-capacity bit sets over []uint64 words.
+// The counting hot path (acceptance checks over sampled forests) tests
+// tuple membership millions of times per run; a bit set turns each test
+// into a shift, a mask and a word load.
 package bitset
 
 import "math/bits"
@@ -16,7 +14,12 @@ const wordBits = 64
 
 // New returns a cleared set with capacity for n bits.
 func New(n int) Set {
-	return make(Set, (n+wordBits-1)/wordBits)
+	return make(Set, Words(n))
+}
+
+// Words returns the number of words of a set with capacity for n bits.
+func Words(n int) int {
+	return (n + wordBits - 1) / wordBits
 }
 
 // Has reports whether bit i is set. Bits beyond the capacity read as
@@ -95,34 +98,4 @@ func (s Set) ContainsAll(bits []int) bool {
 		}
 	}
 	return true
-}
-
-// Pool is a free list of sets of one shared bit capacity. It is not
-// safe for concurrent use: callers that fan work out across goroutines
-// should give each worker its own Pool.
-type Pool struct {
-	nbits int
-	free  []Set
-}
-
-// NewPool returns a pool producing sets with capacity for n bits.
-func NewPool(n int) *Pool {
-	return &Pool{nbits: n}
-}
-
-// Get returns a cleared set from the pool, allocating if empty.
-func (p *Pool) Get() Set {
-	if k := len(p.free); k > 0 {
-		s := p.free[k-1]
-		p.free = p.free[:k-1]
-		s.Clear()
-		return s
-	}
-	return New(p.nbits)
-}
-
-// Put returns a set to the pool. The set must have come from Get (or
-// share the pool's capacity).
-func (p *Pool) Put(s Set) {
-	p.free = append(p.free, s)
 }

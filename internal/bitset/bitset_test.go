@@ -70,21 +70,3 @@ func TestMatchesMapOracle(t *testing.T) {
 		t.Errorf("Count = %d, oracle %d", s.Count(), len(oracle))
 	}
 }
-
-func TestPoolReuse(t *testing.T) {
-	p := NewPool(100)
-	a := p.Get()
-	a.Add(42)
-	p.Put(a)
-	b := p.Get()
-	if !b.Empty() {
-		t.Error("pooled set not cleared on Get")
-	}
-	if len(b) != len(New(100)) {
-		t.Errorf("pooled set has %d words, want %d", len(b), len(New(100)))
-	}
-	c := p.Get() // pool empty again: fresh allocation
-	if !c.Empty() {
-		t.Error("fresh set not empty")
-	}
-}

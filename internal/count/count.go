@@ -33,7 +33,7 @@
 //     (internal/dense), effort counters and prefix-sum weight rows
 //     (prefix.go) — pooled on the plan so repeated estimation allocates
 //     near zero in steady state;
-//   - sampler sessions (sampler.go) with pooled bitsets and tree
+//   - sampler sessions (sampler.go) with acceptance-set slabs and tree
 //     arenas, bound to a run per chunk of sampling work.
 //
 // Trials and overlap-sample chunks share one work-stealing scheduler
@@ -401,7 +401,7 @@ func SampleTree(a *nfta.NFTA, n int, opts Options) *nfta.Tree {
 		if r.treeEst(a.Initial(), n).IsZero() {
 			return
 		}
-		tree = r.topSampler().sampleTree(a.Initial(), n)
+		tree = r.topSampler().drawTree(a.Initial(), n)
 	})
 	pl.release([]*run{r}, call)
 	return tree

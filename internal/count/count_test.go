@@ -135,6 +135,29 @@ func randomNFTA(rng *rand.Rand) *nfta.NFTA {
 	return a
 }
 
+// randomDenseNFTA builds a random automaton with about three
+// transitions per state over arities 0–3 and three symbols, so union
+// branches overlap often and many transitions share a first child.
+func randomDenseNFTA(rng *rand.Rand, states int) *nfta.NFTA {
+	a := nfta.New()
+	for i := 0; i < states; i++ {
+		a.AddState()
+	}
+	syms := []string{"f", "g", "x"}
+	for i := 0; i < 3*states; i++ {
+		children := make([]int, rng.Intn(4))
+		for j := range children {
+			children[j] = rng.Intn(states)
+		}
+		a.AddTransition(rng.Intn(states), syms[rng.Intn(len(syms))], children...)
+	}
+	for i := 0; i < 1+states/4; i++ {
+		a.AddTransition(rng.Intn(states), "x")
+	}
+	a.SetInitial(0)
+	return a
+}
+
 func TestSampleTreeInLanguage(t *testing.T) {
 	a := fullBinary()
 	for i := 0; i < 30; i++ {

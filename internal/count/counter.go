@@ -64,7 +64,7 @@ func (c *Counter) Sample(n int) *nfta.Tree {
 		if r.treeEst(c.a.Initial(), n).IsZero() {
 			return
 		}
-		tree = r.topSampler().sampleTree(c.a.Initial(), n)
+		tree = r.topSampler().drawTree(c.a.Initial(), n)
 	})
 	return tree
 }

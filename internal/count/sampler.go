@@ -10,8 +10,8 @@ import (
 // sampler is a sampling session over a frozen run: it draws trees and
 // forests reading the memo tables and the plan's transition structure
 // but never writing them, so any number of samplers may run
-// concurrently over one run. All scratch state (bitset pool, forest
-// buffer, rejection counter) lives here; the scheduler binds one
+// concurrently over one run. All scratch state (acceptance-set slab,
+// tree arena, rejection counter) lives here; the scheduler binds one
 // sampler per worker, rebinding it to the chunk's run at every chunk
 // boundary (bind), so a sampler serves many trials within a call.
 //
@@ -23,66 +23,90 @@ import (
 type sampler struct {
 	r          *run
 	rng        splitmix.Stream
-	pool       *bitset.Pool
-	sets       []bitset.Set // scratch for firstAccepting
-	forestBuf  []*nfta.Tree // transient forest for overlap testing
-	arena      *treeArena   // nil when sampled trees escape to callers
+	sets       setSlab
+	arena      *treeArena // nil when sampled trees escape to callers
 	rejections int
-	// acceptChecks counts acceptance-bitset computations (one per forest
-	// tree membership-tested), summed per call like rejections.
+	// acceptChecks counts acceptance-set membership tests (one per
+	// forest tree tested), summed per call like rejections.
 	acceptChecks int
 }
 
 func newSampler(pl *plan) *sampler {
-	return &sampler{
-		pool: bitset.NewPool(pl.a.NumStates()),
-	}
+	return &sampler{sets: setSlab{words: bitset.Words(pl.a.NumStates())}}
 }
 
-// bind points the sampler at a run. Samplers are plan-scoped (the
-// bitset pool is sized to the automaton), so binding only swaps the
-// memo tables it reads.
+// bind points the sampler at a run. Samplers are plan-scoped (the set
+// slab is sized to the automaton), so binding only swaps the memo
+// tables it reads.
 func (s *sampler) bind(r *run) { s.r = r }
 
-// treeArena bump-allocates tree nodes and children slices in reusable
-// chunks. Overlap sampling builds a forest only to membership-test and
-// discard it; with the arena reset between samples, the steady-state
-// loop performs no heap allocation for trees at all.
-type treeArena struct {
-	nodes []nfta.Tree
-	nused int
-	refs  []*nfta.Tree
-	rused int
+// chunks bump-allocates slices of T from reusable chunks. When the
+// current chunk runs out a fresh, larger one replaces it; slices handed
+// out from the old chunk stay valid. reset makes the current chunk
+// reusable from the start, so a steady-state loop that resets between
+// uses allocates nothing.
+type chunks[T any] struct {
+	buf  []T
+	used int
 }
 
 const arenaChunk = 512
 
-func (ar *treeArena) reset() { ar.nused, ar.rused = 0, 0 }
+func (c *chunks[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if c.used+n > len(c.buf) {
+		c.buf = make([]T, max(arenaChunk, 2*len(c.buf)+n))
+		c.used = 0
+	}
+	s := c.buf[c.used : c.used+n : c.used+n]
+	c.used += n
+	return s
+}
+
+func (c *chunks[T]) reset() { c.used = 0 }
+
+// treeArena bump-allocates tree nodes and children slices. Overlap
+// sampling builds a forest only to membership-test and discard it;
+// with the arena reset between samples, the steady-state loop performs
+// no heap allocation for trees at all.
+type treeArena struct {
+	nodes chunks[nfta.Tree]
+	refs  chunks[*nfta.Tree]
+}
+
+func (ar *treeArena) reset() { ar.nodes.reset(); ar.refs.reset() }
 
 func (ar *treeArena) node(sym int, children []*nfta.Tree) *nfta.Tree {
-	if ar.nused == len(ar.nodes) {
-		// A fresh, larger chunk; nodes of the current sample in the old
-		// chunk stay reachable through their parents.
-		ar.nodes = make([]nfta.Tree, max(arenaChunk, 2*len(ar.nodes)))
-		ar.nused = 0
-	}
-	t := &ar.nodes[ar.nused]
-	ar.nused++
+	t := &ar.nodes.take(1)[0]
 	t.Sym, t.Children = sym, children
 	return t
 }
 
-func (ar *treeArena) slice(n int) []*nfta.Tree {
-	if n == 0 {
-		return nil
-	}
-	if ar.rused+n > len(ar.refs) {
-		ar.refs = make([]*nfta.Tree, max(arenaChunk, 2*len(ar.refs)+n))
-		ar.rused = 0
-	}
-	s := ar.refs[ar.rused : ar.rused+n : ar.rused+n]
-	ar.rused += n
-	return s
+func (ar *treeArena) slice(n int) []*nfta.Tree { return ar.refs.take(n) }
+
+// setSlab holds the acceptance sets of one draw: bit q of a node's set
+// is set iff the node's subtree is accepted from q. The sampler
+// computes each node's set once, from its children's sets, as it
+// builds the node (nodeSet), so a membership test never re-walks a
+// subtree. No set outlives its draw: countFresh resets the slab with
+// the tree arena before every overlap sample, and drawTree before
+// every top-level draw.
+type setSlab struct {
+	words int                // words per set
+	buf   chunks[uint64]     // the sets
+	refs  chunks[bitset.Set] // per-node slices of its children's sets
+}
+
+func (sl *setSlab) reset() { sl.buf.reset(); sl.refs.reset() }
+
+// nodeSet returns the acceptance set of a node labelled sym whose
+// children have acceptance sets kids.
+func (s *sampler) nodeSet(sym int, kids []bitset.Set) bitset.Set {
+	dst := bitset.Set(s.sets.buf.take(s.sets.words))
+	s.r.pl.a.StepAccepting(dst, sym, kids)
+	return dst
 }
 
 // newTree and newForest allocate through the arena when the sampler has
@@ -172,35 +196,45 @@ func (s *sampler) countFresh(tuples []int, j, n int, site uint64, lo, hi int) in
 	for i := lo; i < hi; i++ {
 		s.rng = splitmix.Derive(s.r.seed, site, i)
 		s.arena.reset()
-		f, ok := s.sampleForestScratch(tuples[j], n-1)
+		s.sets.reset()
+		_, sets, ok := s.sampleForestAlloc(tuples[j], n-1)
 		if !ok {
 			continue
 		}
-		if s.firstAccepting(tuples[:j], f) < 0 {
+		if s.firstAccepting(tuples[:j], sets) < 0 {
 			fresh++
 		}
 	}
 	return fresh
 }
 
-// sampleTree draws a near-uniform tree from T(q, n), or nil if empty.
-func (s *sampler) sampleTree(q, n int) *nfta.Tree {
+// drawTree is a top-level draw from T(q, n): the tree escapes to the
+// caller and its acceptance sets are dropped.
+func (s *sampler) drawTree(q, n int) *nfta.Tree {
+	s.sets.reset()
+	t, _ := s.sampleTree(q, n)
+	return t
+}
+
+// sampleTree draws a near-uniform tree from T(q, n) together with its
+// acceptance set, or nil if empty.
+func (s *sampler) sampleTree(q, n int) (*nfta.Tree, bitset.Set) {
 	r := s.r
 	if r.treeLookup(q, n).IsZero() {
-		return nil
+		return nil, nil
 	}
 	entries := r.pl.states[q]
 	i := s.pickRow(r.entryRow(q, n))
 	if i < 0 {
-		return nil
+		return nil, nil
 	}
 	en := &entries[i]
 	if len(en.tuples) == 1 {
-		f, ok := s.sampleForestAlloc(en.tuples[0], n-1)
+		f, fs, ok := s.sampleForestAlloc(en.tuples[0], n-1)
 		if !ok {
-			return nil
+			return nil, nil
 		}
-		return s.newTree(en.sym, f)
+		return s.newTree(en.sym, f), s.nodeSet(en.sym, fs)
 	}
 	brow := r.branchRow(en, n)
 	maxRetry := r.maxRetry
@@ -211,56 +245,48 @@ func (s *sampler) sampleTree(q, n int) *nfta.Tree {
 	// earlier branch accepts it, which makes the draw uniform over the
 	// union.
 	var last *nfta.Tree
+	var lastSets []bitset.Set
 	for retry := 0; retry < maxRetry; retry++ {
 		j := s.pickRow(brow)
 		if j < 0 {
 			break
 		}
-		f, ok := s.sampleForestAlloc(en.tuples[j], n-1)
+		f, fs, ok := s.sampleForestAlloc(en.tuples[j], n-1)
 		if !ok {
 			continue
 		}
-		last = s.newTree(en.sym, f)
-		if j == 0 || s.firstAccepting(en.tuples[:j], f) < 0 {
-			return last
+		last, lastSets = s.newTree(en.sym, f), fs
+		if j == 0 || s.firstAccepting(en.tuples[:j], fs) < 0 {
+			return last, s.nodeSet(en.sym, fs)
 		}
 		s.rejections++
 	}
 	// Retry budget exhausted: return the latest draw (slightly biased
 	// towards multiply-covered trees; the budget makes this path rare).
-	return last
+	if last == nil {
+		return nil, nil
+	}
+	return last, s.nodeSet(en.sym, lastSets)
 }
 
 // sampleForestAlloc draws a near-uniform forest from F(tuple, m) into a
-// fresh slice (retained as tree children).
-func (s *sampler) sampleForestAlloc(tid, m int) ([]*nfta.Tree, bool) {
-	out := s.newForest(len(s.r.pl.tuples[tid]))
-	if !s.sampleForestInto(tid, m, out) {
-		return nil, false
-	}
-	return out, true
-}
-
-// sampleForestScratch is sampleForestAlloc into a reused buffer, for
-// forests that are only membership-tested and then discarded.
-func (s *sampler) sampleForestScratch(tid, m int) ([]*nfta.Tree, bool) {
+// fresh slice (retained as tree children, or membership-tested and
+// discarded), with its acceptance sets.
+func (s *sampler) sampleForestAlloc(tid, m int) ([]*nfta.Tree, []bitset.Set, bool) {
 	k := len(s.r.pl.tuples[tid])
-	if cap(s.forestBuf) < k {
-		s.forestBuf = make([]*nfta.Tree, k)
+	out, sets := s.newForest(k), s.sets.refs.take(k)
+	if !s.sampleForestInto(tid, m, out, sets) {
+		return nil, nil, false
 	}
-	buf := s.forestBuf[:k]
-	if !s.sampleForestInto(tid, m, buf) {
-		return nil, false
-	}
-	return buf, true
+	return out, sets, true
 }
 
 // sampleForestInto fills out (of length len(tuple)) with a near-uniform
-// forest from F(tuple, m), reporting false if empty. Splits are
-// disjoint, so no rejection is needed. The suffix chain is walked
-// iteratively using the precomputed rest-tuple IDs — no per-level slice
-// copying.
-func (s *sampler) sampleForestInto(tid, m int, out []*nfta.Tree) bool {
+// forest from F(tuple, m), and sets with the trees' acceptance sets,
+// reporting false if empty. Splits are disjoint, so no rejection is
+// needed. The suffix chain is walked iteratively using the precomputed
+// rest-tuple IDs — no per-level slice copying.
+func (s *sampler) sampleForestInto(tid, m int, out []*nfta.Tree, sets []bitset.Set) bool {
 	r := s.r
 	for i := 0; ; i++ {
 		tuple := r.pl.tuples[tid]
@@ -268,11 +294,11 @@ func (s *sampler) sampleForestInto(tid, m int, out []*nfta.Tree) bool {
 		case 0:
 			return m == 0
 		case 1:
-			t := s.sampleTree(tuple[0], m)
+			t, set := s.sampleTree(tuple[0], m)
 			if t == nil {
 				return false
 			}
-			out[i] = t
+			out[i], sets[i] = t, set
 			return true
 		}
 		maxHead := m - (len(tuple) - 1)
@@ -284,32 +310,23 @@ func (s *sampler) sampleForestInto(tid, m int, out []*nfta.Tree) bool {
 			return false
 		}
 		j := k + 1
-		head := s.sampleTree(tuple[0], j)
+		head, set := s.sampleTree(tuple[0], j)
 		if head == nil {
 			return false
 		}
-		out[i] = head
+		out[i], sets[i] = head, set
 		tid, m = r.pl.restID[tid], m-j
 	}
 }
 
 // firstAccepting returns the index of the first tuple accepting the
-// forest, or -1. Acceptance bitsets per forest tree are computed once
-// into pooled scratch; the membership test per tuple is then a few
-// word probes.
-func (s *sampler) firstAccepting(tuples []int, forest []*nfta.Tree) int {
-	r := s.r
-	sets := s.sets[:0]
-	s.acceptChecks += len(forest)
-	for _, t := range forest {
-		b := s.pool.Get()
-		r.pl.a.AcceptingStatesInto(t, b, s.pool)
-		sets = append(sets, b)
-	}
-	res := -1
+// forest whose trees have acceptance sets sets, or -1: per tuple, one
+// bit probe per tree.
+func (s *sampler) firstAccepting(tuples []int, sets []bitset.Set) int {
+	s.acceptChecks += len(sets)
 	for j, tid := range tuples {
-		tuple := r.pl.tuples[tid]
-		if len(tuple) != len(forest) {
+		tuple := s.r.pl.tuples[tid]
+		if len(tuple) != len(sets) {
 			continue
 		}
 		ok := true
@@ -320,13 +337,8 @@ func (s *sampler) firstAccepting(tuples []int, forest []*nfta.Tree) int {
 			}
 		}
 		if ok {
-			res = j
-			break
+			return j
 		}
 	}
-	for _, b := range sets {
-		s.pool.Put(b)
-	}
-	s.sets = sets[:0]
-	return res
+	return -1
 }

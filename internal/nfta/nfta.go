@@ -2,6 +2,8 @@ package nfta
 
 import (
 	"fmt"
+	"math/bits"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -94,16 +96,38 @@ func (a *NFTA) SetEnginePlan(v any) {
 // Version returns the monotone structural mutation counter.
 func (a *NFTA) Version() uint64 { return a.version }
 
-// accIndex is a dense (symbol, arity) → transitions lookup for the
-// acceptance hot path: one slice indexing instead of a map hash per
-// tree node. It is rebuilt lazily whenever transitions were added since
-// the last build; concurrent readers may race to rebuild, which is
-// idempotent (mutating an automaton while testing acceptance on it is
-// not supported).
+// accIndex is the lazily built acceptance index, rebuilt whenever the
+// automaton's version moved since the last build; concurrent readers
+// may race to rebuild, which is idempotent (mutating an automaton while
+// testing acceptance on it is not supported). Per (symbol, arity) cell
+// it holds:
+//
+//   - the cell's transitions, one slice indexing instead of a map hash
+//     per node, for the map-based AcceptingStates;
+//   - for a leaf cell, the constant accepting set of a leaf so labelled;
+//   - for an inner cell, its transitions grouped by first child, with a
+//     bit mask of those first children: a node's step ANDs its first
+//     child's set with the mask and finds each surviving state's group
+//     by a rank (a popcount) in O(1), so it touches only transitions
+//     whose first child accepts.
 type accIndex struct {
 	nsyms, maxAr int
 	cells        [][]int32 // sym*(maxAr+1)+arity -> transition indices
 	built        uint64    // automaton version at build time
+
+	words  int      // words per state set
+	slotOf []int32  // cell -> its slot in leaf (arity 0) or mask, or -1
+	leaf   []uint64 // leaf accepting sets, words per slot
+	// mask[slot*words+w] holds the first children of the slot's cell in
+	// word w, and rank[slot*words+w] the index of the group of the
+	// first of them: the groups before the slot plus the mask bits in
+	// the slot's earlier words.
+	mask   []uint64
+	rank   []int32
+	grpRec []int32 // grpRec[g]..grpRec[g+1]: group g's records in rec
+	// rec holds one record per transition of arity k ≥ 1, k int32s
+	// wide: the From state, then children 2..k.
+	rec []int32
 }
 
 func (a *NFTA) accIdx() *accIndex {
@@ -119,8 +143,59 @@ func (a *NFTA) accIdx() *accIndex {
 		c := tr.Sym*(idx.maxAr+1) + len(tr.Children)
 		idx.cells[c] = append(idx.cells[c], int32(j))
 	}
+	idx.buildStep(a)
 	a.acc.Store(idx)
 	return idx
+}
+
+// buildStep fills the leaf sets and the first-child groups from cells.
+func (x *accIndex) buildStep(a *NFTA) {
+	x.words = bitset.Words(a.numStates)
+	x.slotOf = make([]int32, len(x.cells))
+	var byFirst []int32
+	for c, cell := range x.cells {
+		x.slotOf[c] = -1
+		if len(cell) == 0 {
+			continue
+		}
+		if c%(x.maxAr+1) == 0 {
+			x.slotOf[c] = int32(len(x.leaf) / x.words)
+			x.leaf = append(x.leaf, make([]uint64, x.words)...)
+			set := bitset.Set(x.leaf[len(x.leaf)-x.words:])
+			for _, j := range cell {
+				set.Add(a.trans[j].From)
+			}
+			continue
+		}
+		x.slotOf[c] = int32(len(x.mask) / x.words)
+		x.mask = append(x.mask, make([]uint64, x.words)...)
+		x.rank = append(x.rank, make([]int32, x.words)...)
+		mask := bitset.Set(x.mask[len(x.mask)-x.words:])
+		rank := x.rank[len(x.rank)-x.words:]
+		// Group the cell's transitions by first child, keeping
+		// transition order within a group.
+		byFirst = append(byFirst[:0], cell...)
+		sort.SliceStable(byFirst, func(i, j int) bool {
+			return a.trans[byFirst[i]].Children[0] < a.trans[byFirst[j]].Children[0]
+		})
+		for _, j := range byFirst {
+			tr := a.trans[j]
+			if q := tr.Children[0]; !mask.Has(q) {
+				mask.Add(q)
+				x.grpRec = append(x.grpRec, int32(len(x.rec)))
+			}
+			x.rec = append(x.rec, int32(tr.From))
+			for _, ch := range tr.Children[1:] {
+				x.rec = append(x.rec, int32(ch))
+			}
+		}
+		g := int32(len(x.grpRec) - mask.Count())
+		for w, word := range mask {
+			rank[w] = g
+			g += int32(bits.OnesCount64(word))
+		}
+	}
+	x.grpRec = append(x.grpRec, int32(len(x.rec)))
 }
 
 // lookup returns the transitions with the given root symbol and arity.
@@ -129,6 +204,43 @@ func (x *accIndex) lookup(sym, arity int) []int32 {
 		return nil
 	}
 	return x.cells[sym*(x.maxAr+1)+arity]
+}
+
+// step is StepAccepting over the index.
+func (x *accIndex) step(dst bitset.Set, sym int, kids []bitset.Set) {
+	k := len(kids)
+	if sym < 0 || sym >= x.nsyms || k > x.maxAr || x.slotOf[sym*(x.maxAr+1)+k] < 0 {
+		dst.Clear()
+		return
+	}
+	base := int(x.slotOf[sym*(x.maxAr+1)+k]) * x.words
+	if k == 0 {
+		copy(dst, x.leaf[base:base+x.words])
+		return
+	}
+	dst.Clear()
+	mask, rank := x.mask[base:base+x.words], x.rank[base:base+x.words]
+	for w, word := range kids[0][:x.words] {
+		m := mask[w]
+		for word &= m; word != 0; word &= word - 1 {
+			below := m & (word&-word - 1)
+			g := rank[w] + int32(bits.OnesCount64(below))
+			recs := x.rec[x.grpRec[g]:x.grpRec[g+1]]
+		next:
+			for p := 0; p < len(recs); p += k {
+				from := int(recs[p])
+				if dst.Has(from) {
+					continue
+				}
+				for i := 1; i < k; i++ {
+					if !kids[i].Has(int(recs[p+i])) {
+						continue next
+					}
+				}
+				dst.Add(from)
+			}
+		}
+	}
 }
 
 // fromIndex is a CSR state → transition-indices lookup, rebuilt lazily
@@ -358,55 +470,21 @@ func (a *NFTA) acceptingStates(t *Tree) map[int]bool {
 	return acc
 }
 
-// AcceptingStatesInto computes the accepting-state set of the tree as a
-// bit set: bit q is set iff the tree is accepted starting from q. dst
-// must have capacity for NumStates bits and is cleared first; pool
-// supplies same-capacity scratch sets for the recursion (one live set
-// per tree level), so a steady-state caller allocates nothing. The
-// automaton must be λ-free.
-func (a *NFTA) AcceptingStatesInto(t *Tree, dst bitset.Set, pool *bitset.Pool) {
-	if a.HasLambda() {
-		panic("nfta: AcceptingStatesInto on automaton with λ-transitions")
+// StepAccepting sets dst to the accepting-state set of a node labelled
+// sym whose i-th child has accepting-state set kids[i]: bit q is set
+// iff the node's tree is accepted starting from q. It is one level of
+// the bottom-up run that AcceptingStates performs, so composing it
+// over a tree from the leaves up yields AcceptingStates of the tree. A
+// leaf's set is a constant per symbol; an inner node's set comes from
+// the transitions whose first child is in kids[0], so the cost follows
+// the children's sets rather than the number of transitions on (sym,
+// arity). dst and every kids[i] must have capacity for NumStates bits.
+// The automaton must be λ-free.
+func (a *NFTA) StepAccepting(dst bitset.Set, sym int, kids []bitset.Set) {
+	if a.numLambda > 0 {
+		panic("nfta: StepAccepting on automaton with λ-transitions")
 	}
-	a.acceptingInto(t, dst, pool)
-}
-
-func (a *NFTA) acceptingInto(t *Tree, dst bitset.Set, pool *bitset.Pool) {
-	a.acceptingIntoIdx(a.accIdx(), t, dst, pool)
-}
-
-func (a *NFTA) acceptingIntoIdx(idx *accIndex, t *Tree, dst bitset.Set, pool *bitset.Pool) {
-	dst.Clear()
-	k := len(t.Children)
-	var stack [4]bitset.Set
-	childAcc := stack[:0]
-	if k > len(stack) {
-		childAcc = make([]bitset.Set, 0, k)
-	}
-	for _, c := range t.Children {
-		s := pool.Get()
-		a.acceptingIntoIdx(idx, c, s, pool)
-		childAcc = append(childAcc, s)
-	}
-	for _, j := range idx.lookup(t.Sym, k) {
-		tr := a.trans[j]
-		if dst.Has(tr.From) {
-			continue
-		}
-		ok := true
-		for i, q := range tr.Children {
-			if !childAcc[i].Has(q) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			dst.Add(tr.From)
-		}
-	}
-	for _, s := range childAcc {
-		pool.Put(s)
-	}
+	a.accIdx().step(dst, sym, kids)
 }
 
 // Accepts reports whether the tree is in L(T).

@@ -631,30 +631,120 @@ func randomLabelledTree(rng *rand.Rand, in *alphabet.Interner, depth int) *Tree 
 	}
 }
 
-func TestAcceptingStatesIntoMatchesMap(t *testing.T) {
+// randomStepNFTA builds a λ-free automaton for the acceptance-step
+// property test: arities 0–3 over f, g, h and x, a symbol z with no
+// transitions at all, and a hub state that is the first child of many
+// transitions on every (symbol, arity).
+func randomStepNFTA(rng *rand.Rand, numStates int) *NFTA {
+	a := New()
+	for i := 0; i < numStates; i++ {
+		a.AddState()
+	}
+	syms := []string{"f", "g", "h", "x"}
+	a.Symbols.Intern("z")
+	hub := rng.Intn(numStates)
+	for i := 0; i < 3*numStates+24; i++ {
+		children := make([]int, rng.Intn(4))
+		for j := range children {
+			children[j] = rng.Intn(numStates)
+		}
+		if len(children) > 0 && i%3 == 0 {
+			children[0] = hub
+		}
+		a.AddTransition(rng.Intn(numStates), syms[rng.Intn(len(syms))], children...)
+	}
+	for i := 0; i < 1+numStates/3; i++ {
+		a.AddTransition(rng.Intn(numStates), syms[rng.Intn(len(syms))])
+	}
+	a.SetInitial(0)
+	return a
+}
+
+// randomRunTree draws a tree that mostly follows transitions out of q
+// (leaf transitions at depth 0), so that acceptance sets are often
+// non-empty, and otherwise draws a random label and arity (possibly one
+// without transitions).
+func randomRunTree(rng *rand.Rand, a *NFTA, q, depth int) *Tree {
+	out := a.From(q)
+	if depth == 0 {
+		var leaves []Transition
+		for _, tr := range out {
+			if len(tr.Children) == 0 {
+				leaves = append(leaves, tr)
+			}
+		}
+		out = leaves
+	}
+	if len(out) == 0 || rng.Intn(8) == 0 {
+		k := 0
+		if depth > 0 {
+			k = rng.Intn(4)
+		}
+		sym := rng.Intn(a.Symbols.Size())
+		t := &Tree{Sym: sym}
+		for i := 0; i < k; i++ {
+			t.Children = append(t.Children, randomRunTree(rng, a, rng.Intn(a.NumStates()), depth-1))
+		}
+		return t
+	}
+	tr := out[rng.Intn(len(out))]
+	t := &Tree{Sym: tr.Sym}
+	for _, c := range tr.Children {
+		t.Children = append(t.Children, randomRunTree(rng, a, c, depth-1))
+	}
+	return t
+}
+
+// stepSets composes StepAccepting bottom-up over t and checks the set
+// of every node against the map-based reference.
+func stepSets(t *testing.T, a *NFTA, tree *Tree) bitset.Set {
+	kids := make([]bitset.Set, len(tree.Children))
+	for i, c := range tree.Children {
+		kids[i] = stepSets(t, a, c)
+	}
+	dst := bitset.New(a.NumStates())
+	for i := range dst {
+		dst[i] = ^uint64(0) // the step must overwrite stale contents
+	}
+	a.StepAccepting(dst, tree.Sym, kids)
+	want := a.AcceptingStates(tree)
+	for q := 0; q < a.NumStates(); q++ {
+		if dst.Has(q) != want[q] {
+			t.Fatalf("state %d: step %v, reference %v\ntree %s\n%s", q, dst.Has(q), want[q], tree, a)
+		}
+	}
+	if dst.Count() != len(want) {
+		t.Fatalf("step set has %d bits, reference %d\ntree %s", dst.Count(), len(want), tree)
+	}
+	return dst
+}
+
+func TestStepAcceptingMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	nonEmpty := 0
+	for trial := 0; trial < 60; trial++ {
+		numStates := []int{2, 5, 64, 70, 150}[trial%5]
+		a := randomStepNFTA(rng, numStates)
+		for i := 0; i < 10; i++ {
+			tree := randomRunTree(rng, a, rng.Intn(numStates), 1+rng.Intn(5))
+			if !stepSets(t, a, tree).Empty() {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty < 200 {
+		t.Errorf("only %d of 600 trees had a non-empty accepting set", nonEmpty)
+	}
+	// The small fixed-alphabet automata of the other oracle tests too.
 	for trial := 0; trial < 50; trial++ {
 		a := randomSmallNFTA(rng)
-		pool := bitset.NewPool(a.NumStates())
-		dst := bitset.New(a.NumStates())
 		for i := 0; i < 10; i++ {
-			tree := randomLabelledTree(rng, a.Symbols, 1+rng.Intn(4))
-			want := a.AcceptingStates(tree)
-			a.AcceptingStatesInto(tree, dst, pool)
-			for q := 0; q < a.NumStates(); q++ {
-				if dst.Has(q) != want[q] {
-					t.Fatalf("trial %d: state %d bitset %v map %v\ntree %s\n%s",
-						trial, q, dst.Has(q), want[q], tree, a)
-				}
-			}
-			if dst.Count() != len(want) {
-				t.Fatalf("trial %d: bitset count %d, map size %d", trial, dst.Count(), len(want))
-			}
+			stepSets(t, a, randomLabelledTree(rng, a.Symbols, 1+rng.Intn(4)))
 		}
 	}
 }
 
-func TestAcceptingStatesIntoPanicsOnLambda(t *testing.T) {
+func TestStepAcceptingPanicsOnLambda(t *testing.T) {
 	a := New()
 	q := a.AddState()
 	r := a.AddState()
@@ -667,5 +757,5 @@ func TestAcceptingStatesIntoPanicsOnLambda(t *testing.T) {
 		}
 	}()
 	x, _ := a.Symbols.Lookup("x")
-	a.AcceptingStatesInto(Leaf(x), bitset.New(a.NumStates()), bitset.NewPool(a.NumStates()))
+	a.StepAccepting(bitset.New(a.NumStates()), x, nil)
 }

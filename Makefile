@@ -96,12 +96,14 @@ SERVE_SMOKE_OUT ?= /tmp/pqed-metrics.prom
 serve-smoke:
 	$(GO) run ./cmd/pqed -smoke -smoke-out $(SERVE_SMOKE_OUT)
 
-# Coordinator/worker sharding smoke: the shard protocol package plus
-# the distributed-vs-local differential lane (bit-identity at worker
-# counts 1/2/4 including a mid-suite worker kill), under -race.
+# Coordinator/worker sharding smoke: the distributed-vs-local
+# differential lane (bit-identity at worker counts 1/2/4 including a
+# mid-suite worker kill), then the shard protocol package and the trial
+# driver ten times over, all under -race: the pool fills one batch's
+# results from a goroutine per worker.
 shard-smoke:
 	$(GO) test -race -run 'TestDifferentialShard' -short ./internal/testkit/
-	$(GO) test -race ./internal/shard/
+	$(GO) test -race -count=10 ./internal/trials ./internal/shard
 
 # Regenerate the committed multi-process sharding benchmark: real
 # worker subprocesses at 2 and 4 workers, sharded rows gated

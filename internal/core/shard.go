@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"pqe/internal/count"
@@ -8,6 +9,7 @@ import (
 	"pqe/internal/nfa"
 	"pqe/internal/obs"
 	"pqe/internal/pdb"
+	"pqe/internal/trials"
 )
 
 // Shard modes name the four FPRAS counting phases a coordinator can
@@ -55,12 +57,6 @@ type ShardSpec struct {
 	Trials  int
 	Samples int
 	Seed    int64
-	// Anytime enables the seqstop sequential-stopping loop on the
-	// coordinator, with failure target Delta (≤ 0 = default). Workers
-	// never stop early themselves: batch boundaries live with the
-	// coordinator, which is what keeps them deterministic.
-	Anytime bool
-	Delta   float64
 }
 
 // Engine returns the obs engine label of the spec's counting phase, so
@@ -74,22 +70,16 @@ func (s ShardSpec) Engine() string {
 	return "countnfta"
 }
 
-// ShardResult is a merged distributed counting call.
-type ShardResult struct {
-	// Value is the upper median of the executed trials' estimates —
-	// bit-identical to what the local engine would return.
-	Value efloat.E
-	// Executed is how many trials ran (< Trials only when the anytime
-	// certificate stopped the schedule early).
-	Executed int
-}
-
-// Sharder distributes one counting call across worker processes. The
-// implementation (internal/shard.Pool) owns range partitioning, worker
-// failover and the median merge; core owns building the spec and the
-// post-counting scaling, which stays on the coordinator.
+// Sharder runs trial ranges of a counting call on worker processes.
+// The implementation (internal/shard.Pool) owns range partitioning and
+// worker failover; core runs the call's trial driver over it — the
+// batches, the anytime stop, cancellation between batches and the
+// median merge, exactly as for a local call — and the post-counting
+// scaling, which stays on the coordinator.
 type Sharder interface {
-	CountSharded(sc *obs.Scope, spec ShardSpec) (ShardResult, error)
+	// CountRange executes trials [lo, hi) of the spec's schedule and
+	// returns their estimates in trial order.
+	CountRange(ctx context.Context, sc *obs.Scope, spec ShardSpec, lo, hi int) ([]efloat.E, error)
 }
 
 // instanceText renders the session's instance in the public text
@@ -115,8 +105,6 @@ func (e *Estimator) shardSpec(opts Options, mode string, n, states int) ShardSpe
 		N:        n,
 		States:   states,
 		Seed:     opts.seed(),
-		Anytime:  opts.anytime(),
-		Delta:    opts.Delta,
 	}
 	switch mode {
 	case ShardModePath, ShardModePathPQE:
@@ -127,14 +115,44 @@ func (e *Estimator) shardSpec(opts Options, mode string, n, states int) ShardSpe
 	return spec
 }
 
-// shardCount routes one counting phase through the call's Sharder and
-// returns the merged estimate.
+// shardCounters are the sharded schedule's shard_trials_saved_total
+// and shard_anytime_stops_total counters.
+var shardCounters = trials.CountersFor("shard")
+
+// shardCount runs one counting phase's trial schedule through the
+// call's Sharder and returns the merged estimate. A cancelled call
+// returns the context's error.
 func (e *Estimator) shardCount(sc *obs.Scope, opts Options, mode string, n, states int) (efloat.E, error) {
-	res, err := opts.Shard.CountSharded(sc, e.shardSpec(opts, mode, n, states))
+	spec := e.shardSpec(opts, mode, n, states)
+	sc, span := sc.Span("shard.count")
+	defer span.End()
+	if span != nil {
+		span.SetAttr("mode", spec.Mode)
+		span.SetAttr("trials", spec.Trials)
+		span.SetAttr("epsilon", spec.Epsilon)
+	}
+	sc.Counter("shard_calls_total").Inc()
+	d := trials.New(trials.Config{
+		Engine:   spec.Engine(),
+		Counters: shardCounters,
+		Trials:   spec.Trials,
+		Epsilon:  spec.Epsilon,
+		Anytime:  opts.anytime(),
+		Delta:    opts.Delta,
+		Ctx:      opts.Ctx,
+		Obs:      sc,
+		Span:     span,
+	})
+	c, err := d.Median(trials.Remote(func(ctx context.Context, lo, hi int) ([]efloat.E, error) {
+		return opts.Shard.CountRange(ctx, sc, spec, lo, hi)
+	}))
 	if err != nil {
+		if cerr := opts.ctxErr(); cerr != nil {
+			return efloat.Zero, cerr
+		}
 		return efloat.Zero, fmt.Errorf("core: sharded %s count: %w", mode, err)
 	}
-	return res.Value, nil
+	return c, nil
 }
 
 // CountTrials is the worker half of the shard protocol: execute trials

@@ -1,8 +1,6 @@
 package count
 
 import (
-	"sort"
-
 	"pqe/internal/efloat"
 	"pqe/internal/nfta"
 	"pqe/internal/sched"
@@ -48,8 +46,7 @@ func (c *Counter) Count(n int) efloat.E {
 		r.ensurePfx(n)
 		results[t] = r.treeEst(c.a.Initial(), n)
 	})
-	sort.Slice(results, func(i, j int) bool { return results[i].Less(results[j]) })
-	return results[len(results)/2]
+	return efloat.UpperMedian(results)
 }
 
 // Sample draws a near-uniform tree of size n using the first trial's

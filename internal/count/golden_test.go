@@ -95,7 +95,8 @@ func goldenLines(t *testing.T, procs int) []string {
 	emit := func(name, format string, args ...any) {
 		out = append(out, name+" "+fmt.Sprintf(format, args...))
 	}
-	for _, c := range goldenCorpus(t) {
+	corpus := goldenCorpus(t)
+	for _, c := range corpus {
 		opts := count.Options{Epsilon: c.eps, Trials: 5, Seed: 7, MaxProcs: procs}
 
 		reg := obs.NewRegistry()
@@ -149,6 +150,36 @@ func goldenLines(t *testing.T, procs int) []string {
 			}
 			emit(fmt.Sprintf("pqe/%s/seed%d", w.name, seed), "%s", bits(res.Probability))
 		}
+	}
+	// The trial schedule: fixed and anytime estimates with their trial
+	// counters, and a Counter session's sweep. The tight variant's narrow
+	// ε-band with few samples keeps ambiguous automata from agreeing at
+	// the floor, so the anytime schedule runs several batches.
+	for _, c := range corpus {
+		for _, v := range []struct {
+			label   string
+			eps     float64
+			samples int
+			anytime bool
+		}{
+			{"trees", c.eps, 0, false},
+			{"trees_anytime", c.eps, 0, true},
+			{"trees_anytime_tight", 0.03, 30, true},
+		} {
+			reg := obs.NewRegistry()
+			opts := count.Options{Epsilon: v.eps, Samples: v.samples, Trials: 9, Seed: 7, MaxProcs: procs,
+				Anytime: v.anytime, Obs: obs.NewScope(nil, reg, nil)}
+			emit(c.name+"/schedule/"+v.label, "%s", bits(count.Trees(c.a, c.n, opts).Float()))
+			for _, ctr := range []string{"trials", "trials_saved", "anytime_stops", "union_samples"} {
+				emit(c.name+"/schedule/"+v.label+"/"+ctr, "%d", reg.Counter("countnfta_"+ctr+"_total").Value())
+			}
+		}
+		ctr := count.NewCounter(c.a, count.Options{Epsilon: c.eps, Trials: 3, Seed: 5, MaxProcs: procs})
+		var counts []string
+		for n := c.n - 2; n <= c.n; n++ {
+			counts = append(counts, bits(ctr.Count(n).Float()))
+		}
+		emit(c.name+"/counter_count", "%s", strings.Join(counts, ","))
 	}
 	return out
 }

@@ -14,7 +14,7 @@ import (
 	"pqe/internal/efloat"
 	"pqe/internal/obs"
 	"pqe/internal/sched"
-	"pqe/internal/seqstop"
+	"pqe/internal/trials"
 )
 
 // CountOptions configures the CountNFA approximation scheme.
@@ -98,11 +98,6 @@ type CountOptions struct {
 	procs int
 }
 
-// cancelled reports whether the call's context has been cancelled.
-func (o CountOptions) cancelled() bool {
-	return o.Ctx != nil && o.Ctx.Err() != nil
-}
-
 // Stats reports how much work the estimator did.
 type Stats struct {
 	// WordKeys and UnionKeys are memo-table sizes: distinct
@@ -150,6 +145,10 @@ func (o CountOptions) withDefaults() CountOptions {
 // schedLabels are the pprof labels applied to scheduler workers.
 var schedLabels = []string{"pqe_engine", "countnfa", "pqe_stage", "trial"}
 
+// scheduleCounters are the trial driver's countnfa_trials_saved_total and
+// countnfa_anytime_stops_total counters.
+var scheduleCounters = trials.CountersFor("countnfa")
+
 // Count approximates |L_n(M)|, the number of distinct words of length n
 // accepted by M, within relative error ε with high probability. It
 // realizes the paper's CountNFA black box [5].
@@ -161,119 +160,16 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 		t0 = time.Now()
 		runtime.ReadMemStats(&m0)
 	}
-	pl, planHit := planFor(m)
-	sc, span := opts.Obs.Span("count.nfa")
-	if span != nil {
-		span.SetAttr("n", n)
-		span.SetAttr("states", m.numStates)
-		span.SetAttr("trials", opts.Trials)
-		span.SetAttr("epsilon", opts.Epsilon)
-		span.SetAttr("workers", opts.procs)
-	}
-	conv := sc.Convergence()
-	callID := conv.NextCall()
-	timed := sc.Registry() != nil
-	callStart := time.Time{}
-	if conv != nil || span != nil || timed {
-		callStart = time.Now()
-	}
-	results := make([]efloat.E, opts.Trials)
-	log2s := make([]float64, opts.Trials)
-	seeds := make([]int64, opts.Trials)
-	for t := range seeds {
-		seeds[t] = opts.Rng.Int63()
-	}
-	runs := make([]*wordRun, opts.Trials)
-	call := newCallState(pl, opts.procs)
-	trial := func(w *sched.Worker, t int) {
-		if opts.cancelled() {
-			return // queued after cancellation; the caller discards the call
-		}
-		tspan := span.Start("trial")
-		var tt0 time.Time
-		if conv != nil || tspan != nil {
-			tt0 = time.Now()
-		}
-		r := pl.getRun(opts, seeds[t])
-		r.w, r.call = w, call
-		r.ensurePfx(n)
-		results[t] = r.topLevel(n)
-		runs[t] = r
-		log2 := math.Inf(-1)
-		if !results[t].IsZero() {
-			log2 = results[t].Log2()
-		}
-		log2s[t] = log2
-		if tspan != nil {
-			tspan.SetAttr("trial", t)
-			tspan.SetAttr("union_samples", r.unionSamples)
-			tspan.End()
-		}
-		if conv != nil {
-			conv.Record(obs.TrialRecord{
-				Engine:       "countnfa",
-				Call:         callID,
-				Trial:        t,
-				Trials:       opts.Trials,
-				Epsilon:      opts.Epsilon,
-				Log2Estimate: log2,
-				UnionSamples: r.unionSamples,
-				Elapsed:      time.Since(tt0),
-			})
-		}
-	}
-	// The anytime path runs the same trials (same per-trial seeds, so
-	// every executed trial is bit-identical to the fixed schedule's) in
-	// deterministic batches, stopping at the earliest batch whose
-	// spread certificate meets (ε, δ); the fixed path is one batch of
-	// all Trials. Batch boundaries and the stop decision depend only on
-	// (ε, δ, Trials) and the per-trial estimates — never on MaxProcs or
-	// wall-clock time — so both paths are deterministic at every worker
-	// count.
-	var st sched.Stats
-	executed := opts.Trials
-	if opts.Anytime {
-		sp := seqstop.New(opts.Epsilon, opts.Delta, opts.Trials, opts.MinTrials)
-		executed = 0
-		for executed < opts.Trials {
-			if opts.cancelled() {
-				break // per-batch deadline check; result is discarded
-			}
-			base := executed
-			next := sp.NextBatch(base)
-			bst := sched.Run(sched.Config{
-				Procs:  opts.procs,
-				Trials: next - base,
-				Timed:  timed,
-				Labels: schedLabels,
-			}, func(w *sched.Worker, t int) { trial(w, base+t) })
-			st.Accumulate(bst)
-			executed = next
-			if sp.Stop(log2s[:executed]) {
-				break
-			}
-		}
-	} else {
-		st = sched.Run(sched.Config{
-			Procs:  opts.procs,
-			Trials: opts.Trials,
-			Timed:  timed,
-			Labels: schedLabels,
-		}, trial)
-	}
-	saved := opts.Trials - executed
-	results = results[:executed]
-	if span != nil {
-		span.SetAttr("trials_executed", executed)
-	}
+	c := begin(m, n, opts, "count.nfa")
+	v, _ := c.driver.Median(&c.local)
 	if opts.Stats != nil {
-		for _, r := range runs {
+		for _, r := range c.runs {
 			if r == nil {
 				continue
 			}
 			opts.Stats.record(r)
 		}
-		rej, _ := call.totals()
+		rej, _ := c.call.totals()
 		opts.Stats.Rejections += rej
 		var m1 runtime.MemStats
 		runtime.ReadMemStats(&m1)
@@ -281,30 +177,86 @@ func Count(m *NFA, n int, opts CountOptions) efloat.E {
 		opts.Stats.Mallocs += m1.Mallocs - m0.Mallocs
 		opts.Stats.AllocBytes += m1.TotalAlloc - m0.TotalAlloc
 	}
-	if reg := sc.Registry(); reg != nil {
-		flushRegistry(reg, pl, runs[:executed], call, st, planHit, time.Since(callStart))
-		reg.Counter("countnfa_trials_saved_total").Add(int64(saved))
-		if saved > 0 {
-			reg.Counter("countnfa_anytime_stops_total").Inc()
-		}
+	c.end()
+	return v
+}
+
+// wordsCall is the engine side of one Count or CountRange call: the
+// plan, the call's span and shared samplers, and the runs its trials
+// used, around the trial driver that runs the schedule.
+type wordsCall struct {
+	pl      *wordPlan
+	planHit bool
+	sc      *obs.Scope
+	span    *obs.Span
+	start   time.Time
+	call    *callState
+	runs    []*wordRun
+	driver  trials.Driver
+	local   trials.Local
+}
+
+// begin opens a counting call whose trial t estimates |L_n(M)| on a
+// pooled run seeded by the driver.
+func begin(m *NFA, n int, opts CountOptions, name string) *wordsCall {
+	c := &wordsCall{}
+	c.pl, c.planHit = planFor(m)
+	c.sc, c.span = opts.Obs.Span(name)
+	if c.span != nil {
+		c.span.SetAttr("n", n)
+		c.span.SetAttr("states", m.numStates)
+		c.span.SetAttr("trials", opts.Trials)
+		c.span.SetAttr("epsilon", opts.Epsilon)
+		c.span.SetAttr("workers", opts.procs)
 	}
-	span.End()
-	pl.release(runs, call)
-	if len(results) == 0 {
-		return efloat.Zero // cancelled before any batch ran; caller discards
+	if c.sc.Registry() != nil {
+		c.start = time.Now()
 	}
-	return efloat.UpperMedian(results)
+	c.call = newCallState(c.pl, opts.procs)
+	c.runs = make([]*wordRun, opts.Trials)
+	c.driver = trials.New(trials.Config{
+		Engine:    "countnfa",
+		Counters:  scheduleCounters,
+		Trials:    opts.Trials,
+		Epsilon:   opts.Epsilon,
+		Anytime:   opts.Anytime,
+		Delta:     opts.Delta,
+		MinTrials: opts.MinTrials,
+		Rng:       opts.Rng,
+		Ctx:       opts.Ctx,
+		Obs:       c.sc,
+		Span:      c.span,
+	})
+	c.local = trials.Local{Procs: opts.procs, Labels: schedLabels, Trial: func(w *sched.Worker, t int, seed int64) (efloat.E, int) {
+		r := c.pl.getRun(opts, seed)
+		r.w, r.call = w, c.call
+		r.ensurePfx(n)
+		c.runs[t] = r
+		return r.topLevel(n), r.unionSamples
+	}}
+	return c
+}
+
+// end flushes the call's counters, closes its span and returns its runs
+// and samplers to the plan's pools.
+func (c *wordsCall) end() {
+	if reg := c.sc.Registry(); reg != nil {
+		flushRegistry(reg, c.pl, c.runs, c.call, c.local.Stats, c.planHit, time.Since(c.start))
+	}
+	c.span.End()
+	c.pl.release(c.runs, c.call)
 }
 
 // flushRegistry folds the per-call effort counters into the unified
 // metrics registry, once per Count call — never inside the sampling
 // loops, which only bump plain per-run and per-sampler integers.
 func flushRegistry(reg *obs.Registry, pl *wordPlan, runs []*wordRun, call *callState, st sched.Stats, planHit bool, wall time.Duration) {
-	var wordKeys, unionKeys, memoHits, unionSamples int
+	var trials, wordKeys, unionKeys, memoHits, unionSamples int
 	for _, r := range runs {
 		if r == nil {
 			continue
 		}
+		trials++
 		wordKeys += r.words.Keys()
 		unionKeys += r.unions.Keys()
 		memoHits += r.memoHits
@@ -317,7 +269,7 @@ func flushRegistry(reg *obs.Registry, pl *wordPlan, runs []*wordRun, call *callS
 		}
 	}
 	reg.Counter("countnfa_calls_total").Inc()
-	reg.Counter("countnfa_trials_total").Add(int64(len(runs)))
+	reg.Counter("countnfa_trials_total").Add(int64(trials))
 	reg.Counter("countnfa_word_keys_total").Add(int64(wordKeys))
 	reg.Counter("countnfa_union_keys_total").Add(int64(unionKeys))
 	reg.Counter("countnfa_memo_hits_total").Add(int64(memoHits))

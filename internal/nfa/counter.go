@@ -1,8 +1,6 @@
 package nfa
 
 import (
-	"sort"
-
 	"pqe/internal/efloat"
 	"pqe/internal/sched"
 )
@@ -45,8 +43,7 @@ func (c *Counter) Count(n int) efloat.E {
 		r.ensurePfx(n)
 		results[t] = r.topLevel(n)
 	})
-	sort.Slice(results, func(i, j int) bool { return results[i].Less(results[j]) })
-	return results[len(results)/2]
+	return efloat.UpperMedian(results)
 }
 
 // Sample draws a near-uniform word of length n using the first trial's

@@ -1,14 +1,6 @@
 package nfa
 
-import (
-	"fmt"
-	"math"
-	"time"
-
-	"pqe/internal/efloat"
-	"pqe/internal/obs"
-	"pqe/internal/sched"
-)
+import "pqe/internal/efloat"
 
 // ResolveSchedule reports the resolved trial schedule of a Count call
 // with these options: the defaulted (epsilon, trials, samples) triple.
@@ -30,88 +22,12 @@ func (o CountOptions) ResolveSchedule() (epsilon float64, trials, samples int) {
 // anytime batch boundaries.
 func CountRange(m *NFA, n int, opts CountOptions, lo, hi int) ([]efloat.E, error) {
 	opts = opts.withDefaults()
-	if lo < 0 || hi < lo || hi > opts.Trials {
-		return nil, fmt.Errorf("nfa: trial range [%d, %d) outside schedule [0, %d)", lo, hi, opts.Trials)
+	c := begin(m, n, opts, "count.nfa_range")
+	if c.span != nil {
+		c.span.SetAttr("trial_lo", lo)
+		c.span.SetAttr("trial_hi", hi)
 	}
-	// Draw every trial seed so seeds[t] is a function of the schedule,
-	// never of the requested range.
-	seeds := make([]int64, opts.Trials)
-	for t := range seeds {
-		seeds[t] = opts.Rng.Int63()
-	}
-	if hi == lo {
-		return nil, nil
-	}
-	pl, planHit := planFor(m)
-	sc, span := opts.Obs.Span("count.nfa_range")
-	if span != nil {
-		span.SetAttr("n", n)
-		span.SetAttr("states", m.numStates)
-		span.SetAttr("trial_lo", lo)
-		span.SetAttr("trial_hi", hi)
-		span.SetAttr("trials", opts.Trials)
-		span.SetAttr("epsilon", opts.Epsilon)
-		span.SetAttr("workers", opts.procs)
-	}
-	conv := sc.Convergence()
-	callID := conv.NextCall()
-	timed := sc.Registry() != nil
-	callStart := time.Time{}
-	if conv != nil || span != nil || timed {
-		callStart = time.Now()
-	}
-	results := make([]efloat.E, hi-lo)
-	runs := make([]*wordRun, hi-lo)
-	call := newCallState(pl, opts.procs)
-	st := sched.Run(sched.Config{
-		Procs:  opts.procs,
-		Trials: hi - lo,
-		Timed:  timed,
-		Labels: schedLabels,
-	}, func(w *sched.Worker, i int) {
-		if opts.cancelled() {
-			return
-		}
-		t := lo + i
-		tspan := span.Start("trial")
-		var tt0 time.Time
-		if conv != nil || tspan != nil {
-			tt0 = time.Now()
-		}
-		r := pl.getRun(opts, seeds[t])
-		r.w, r.call = w, call
-		r.ensurePfx(n)
-		results[i] = r.topLevel(n)
-		runs[i] = r
-		log2 := math.Inf(-1)
-		if !results[i].IsZero() {
-			log2 = results[i].Log2()
-		}
-		if tspan != nil {
-			tspan.SetAttr("trial", t)
-			tspan.SetAttr("union_samples", r.unionSamples)
-			tspan.End()
-		}
-		if conv != nil {
-			conv.Record(obs.TrialRecord{
-				Engine:       "countnfa",
-				Call:         callID,
-				Trial:        t,
-				Trials:       opts.Trials,
-				Epsilon:      opts.Epsilon,
-				Log2Estimate: log2,
-				UnionSamples: r.unionSamples,
-				Elapsed:      time.Since(tt0),
-			})
-		}
-	})
-	if reg := sc.Registry(); reg != nil {
-		flushRegistry(reg, pl, runs, call, st, planHit, time.Since(callStart))
-	}
-	span.End()
-	pl.release(runs, call)
-	if opts.cancelled() {
-		return nil, opts.Ctx.Err()
-	}
-	return results, nil
+	ests, err := c.driver.Range(&c.local, lo, hi)
+	c.end()
+	return ests, err
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"context"
+	"errors"
 	"math"
 	"net"
 	"strings"
@@ -365,5 +367,29 @@ func TestAllWorkersDead(t *testing.T) {
 	sopts.Shard = pool
 	if _, err := core.NewEstimator(q, h, sopts).PQEEstimate(sopts); err == nil {
 		t.Fatal("call with all workers dead succeeded")
+	}
+}
+
+// TestCancelledCallSkipsFailover: a range that fails after the call's
+// context expired is not reassigned; the call returns the context's
+// error.
+func TestCancelledCallSkipsFailover(t *testing.T) {
+	liveAddrs, stop := startWorkers(t, 1, ServerConfig{})
+	defer stop()
+	pool, err := Dial([]string{hangWorker(t), liveAddrs[0]}, PoolConfig{CallTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	q, h := testInstance(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	sopts := core.Options{Epsilon: 0.3, Seed: 7, Shard: pool, Ctx: ctx}
+	if _, err := core.NewEstimator(q, h, sopts).PQEEstimate(sopts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want %v", err, context.DeadlineExceeded)
+	}
+	if st := pool.Stats(); st.Reassigned != 0 || st.WorkerFailures == 0 {
+		t.Errorf("stats %+v: want the hung worker's failure and no reassignment", st)
 	}
 }
